@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Single-command smoke job: the full test suite, a repeated run of the
 # scaling-driver tests (they must be deterministic — zero flaky reruns,
-# including on 1-core hosts), one coarse benchmark, and a quick pass of the
-# adaptive-truncation benchmark (accuracy assertions at reduced rounds).
+# including on 1-core hosts), one coarse benchmark, a quick pass of the
+# adaptive-truncation benchmark (accuracy assertions at reduced rounds) and
+# the perfbench quick self-test.
 #
 # Usage:  scripts/smoke.sh
 #   SMOKE_SCALING_RERUNS=N   number of consecutive scaling-driver runs (default 3)
@@ -103,5 +104,11 @@ echo "== chaos matrix ({crash,hang,corrupt} x {assembly,matvec,campaign}) =="
 BENCH_QUICK=1 python -m pytest -q -p no:randomly \
   tests/resilience tests/campaign/test_checkpoint_resume.py \
   tests/campaign/test_group_concurrency.py
+
+echo "== perfbench quick self-test (the benchmark's calls into the public API) =="
+# Quick mode of the repository benchmark: a src/ change that breaks what
+# perfbench/ calls (names, options, results) fails here, not in the next
+# benchmark run.
+python -m pytest -q -p no:randomly perfbench/selftest.py
 
 echo "smoke: OK (zero flaky reruns)"

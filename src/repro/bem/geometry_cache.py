@@ -91,20 +91,25 @@ class GeometryCache:
             return entry
 
     def put(self, key: tuple, arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        """Store ``arrays`` under ``key`` and return the read-only views."""
+        """Store ``arrays`` under ``key`` and return the read-only views.
+
+        An entry larger than the whole budget is never stored: it is served
+        uncached as read-only views of the (contiguous) inputs, without a copy.
+        """
+        contiguous = [np.ascontiguousarray(array) for array in arrays]
+        size = sum(array.nbytes for array in contiguous)
         frozen = []
-        size = 0
-        for array in arrays:
-            contiguous = np.ascontiguousarray(array)
-            if contiguous is array:
+        for original, array in zip(arrays, contiguous):
+            if size > self.max_bytes:
+                array = array.view()
+            elif array is original:
                 # Never freeze an object the caller may still own.
-                contiguous = array.copy()
-            contiguous.setflags(write=False)
-            frozen.append(contiguous)
-            size += contiguous.nbytes
+                array = array.copy()
+            array.setflags(write=False)
+            frozen.append(array)
         stored = tuple(frozen)
         if size > self.max_bytes:
-            return stored  # larger than the whole budget: serve uncached
+            return stored
         with self._lock:
             previous = self._entries.pop(key, None)
             if previous is not None:

@@ -15,6 +15,14 @@ but, as the paper notes, "if it is necessary to compute potentials at a large
 number of points (i.e. to draw contours), computing time may be important";
 the evaluation is therefore vectorised over field points and exposed as a task
 list that the parallel executors can distribute.
+
+The adaptive path works in tiles: each plan group's (field points × member
+sources) pair slab is cut into whole-point tiles of at most ``_TILE_PAIRS``
+(262,144) pairs, and the pair geometry, bin sort and per-pair sums of one tile
+hold under 256 bytes per pair.  A raster's working set is thus bounded by
+about 64 MiB (plus the geometry cache's own byte budget) whatever the mesh
+size — a 3,280-element grid under a 41 × 41 raster used to hold one
+5.5-million-pair slab, over 0.9 GB.
 """
 
 from __future__ import annotations
@@ -39,6 +47,11 @@ from repro.kernels.truncation import (
 from repro.soil.base import SoilModel
 
 __all__ = ["PotentialEvaluator", "SurfaceGrid"]
+
+#: Pair budget of one adaptive evaluation tile: each plan group's (field
+#: points × member sources) slab is cut into tiles of whole field points
+#: holding at most this many pairs (at least one point per tile).
+_TILE_PAIRS: int = 262_144
 
 
 @dataclass
@@ -292,8 +305,9 @@ class PotentialEvaluator:
         """Per-call evaluation context (pure in the full ``points`` array).
 
         The truncation plans depend on the depth interval of *all* requested
-        points, so they are built once per call — results are then identical
-        for every ``batch_size``.
+        points, so they are built once per call — results then agree for every
+        ``batch_size`` up to the round-off of the BLAS weighted image sums,
+        whose kernels depend on how many pairs a span holds.
         """
         z_values = points[:, 2]
         flat_z = float(z_values[0]) if np.ptp(z_values) <= 1.0e-12 else None
@@ -335,92 +349,133 @@ class PotentialEvaluator:
         separation and evaluated through
         :func:`~repro.bem.segment_integrals.adaptive_segment_sums`, replacing
         the per-element Python loop of the exact path by a handful of large
-        vectorised passes.
+        vectorised passes.  Each plan group's pair slab is cut into tiles of
+        at most ``_TILE_PAIRS`` pairs (whole field points per tile), so the
+        working set is independent of the mesh size; a point's contributions
+        still accumulate group → bin → member.
         """
-        n_points = points.shape[0]
-        values = np.zeros(n_points)
+        values = np.zeros(points.shape[0])
         if self._active.size == 0:
             return values
-        field_layers = np.array(
-            [self.soil.layer_index(max(float(z), 0.0)) for z in points[:, 2]], dtype=int
-        )
-        nb = self.dof_manager.element_type.basis_per_element
-        points_fp = array_fingerprint(points)
-
+        field_layers = self.soil.layer_indices(np.maximum(points[:, 2], 0.0))
         for field_layer in np.unique(field_layers):
-            point_idx = np.flatnonzero(field_layers == field_layer)
-            pts_xy = points[point_idx, :2]
-            pts_z = np.ascontiguousarray(points[point_idx, 2])
+            layer_points = np.flatnonzero(field_layers == field_layer)
             for key, members in self._plan_groups:
-                source_layer, length, z0, z1, radius = key
                 plan = self._plan_for_group(key, int(field_layer), context)
-
-                geo_key = (
-                    self._mesh_fp,
-                    "pot",
-                    points_fp,
-                    key,
-                    self._group_fp[key],
-                    int(field_layer),
-                )
-                cached = self._geometry_cache.get(geo_key)
-                if cached is None:
-                    delta = pts_xy[:, None, :] - self._mid_xy[None, members, :]
-                    separation = np.sqrt(np.einsum("psk,psk->ps", delta, delta))
-                    separation -= self._half_lengths[members][None, :]
-                    np.maximum(separation, 0.0, out=separation)
-                    bins = plan.bin_of(separation)
-                    disp = pts_xy[:, None, :] - self._p0[None, members, :2]
-                    p_axis = np.einsum("psk,sk->ps", disp, self._u_xy[members])
-                    q_norm = np.einsum("psk,psk->ps", disp, disp)
-                    order = np.argsort(bins, axis=None, kind="stable").astype(np.intp)
-                    cached = self._geometry_cache.put(
-                        geo_key,
-                        (bins.ravel()[order], p_axis.ravel()[order], q_norm.ravel()[order], order),
-                    )
-                bins_sorted, p_axis_sorted, q_norm_sorted, order = cached
-                pair_point = order // members.size
-                pair_source = members[order % members.size]
-                x_z = pts_z[pair_point]
-                densities = self._densities[pair_source]  # (P, nb)
-                normalization = self.kernel.normalization(source_layer)
-
-                starts = np.flatnonzero(
-                    np.concatenate(([True], np.diff(bins_sorted) > 0))
-                )
-                starts = np.concatenate((starts, [order.size]))
-                for g in range(starts.size - 1):
-                    span = slice(int(starts[g]), int(starts[g + 1]))
-                    bin_plan = plan.bins[int(bins_sorted[int(starts[g])])]
-                    w0, w1 = adaptive_segment_sums(
-                        p_axis_sorted[span],
-                        q_norm_sorted[span],
-                        x_z[span],
-                        z0,
-                        (z1 - z0) / length,
-                        length,
-                        radius,
-                        plan.weights,
-                        plan.signs,
-                        plan.offsets,
-                        bin_plan.exact_idx,
-                        bin_plan.exact32_idx,
-                        bin_plan.midpoint_idx,
-                    )
-                    if nb == 1:
-                        contribution = densities[span, 0] * w0
-                    else:
-                        contribution = densities[span, 0] * (w0 - w1) + densities[span, 1] * w1
-                    contribution *= normalization
-                    values[point_idx] += np.bincount(
-                        pair_point[span], weights=contribution, minlength=point_idx.size
+                tile = max(1, _TILE_PAIRS // members.size)
+                for start in range(0, layer_points.size, tile):
+                    self._accumulate_tile(
+                        values,
+                        points,
+                        layer_points[start : start + tile],
+                        key,
+                        members,
+                        plan,
+                        int(field_layer),
                     )
         return values
 
-    def _potential_batch(self, points: np.ndarray) -> np.ndarray:
-        field_layers = np.array(
-            [self.soil.layer_index(max(float(z), 0.0)) for z in points[:, 2]], dtype=int
+    def _accumulate_tile(
+        self,
+        values: np.ndarray,
+        points: np.ndarray,
+        point_idx: np.ndarray,
+        key: tuple,
+        members: np.ndarray,
+        plan: TruncationPlan,
+        field_layer: int,
+    ) -> None:
+        """Add the contributions of one group's ``members`` to ``values[point_idx]``.
+
+        The tile's pairs are evaluated bin by bin; each bin's contributions
+        are added per point in member order.
+        """
+        source_layer, length, z0, z1, radius = key
+        bins_sorted, p_axis_sorted, q_norm_sorted, order = self._tile_geometry(
+            points[point_idx], key, members, plan, field_layer
         )
+        pair_point = order // members.size
+        pair_source = members[order % members.size]
+        x_z = points[point_idx, 2][pair_point]
+        densities = self._densities[pair_source]  # (P, nb)
+        normalization = self.kernel.normalization(source_layer)
+        nb = self.dof_manager.element_type.basis_per_element
+
+        starts = np.flatnonzero(np.concatenate(([True], np.diff(bins_sorted) > 0)))
+        starts = np.concatenate((starts, [order.size]))
+        for g in range(starts.size - 1):
+            span = slice(int(starts[g]), int(starts[g + 1]))
+            bin_plan = plan.bins[int(bins_sorted[int(starts[g])])]
+            w0, w1 = adaptive_segment_sums(
+                p_axis_sorted[span],
+                q_norm_sorted[span],
+                x_z[span],
+                z0,
+                (z1 - z0) / length,
+                length,
+                radius,
+                plan.weights,
+                plan.signs,
+                plan.offsets,
+                bin_plan.exact_idx,
+                bin_plan.exact32_idx,
+                bin_plan.midpoint_idx,
+            )
+            if nb == 1:
+                contribution = densities[span, 0] * w0
+            else:
+                contribution = densities[span, 0] * (w0 - w1) + densities[span, 1] * w1
+            contribution *= normalization
+            values[point_idx] += np.bincount(
+                pair_point[span], weights=contribution, minlength=point_idx.size
+            )
+
+    def _tile_geometry(
+        self,
+        tile_points: np.ndarray,
+        key: tuple,
+        members: np.ndarray,
+        plan: TruncationPlan,
+        field_layer: int,
+    ) -> tuple[np.ndarray, ...]:
+        """Bin-sorted in-plane pair geometry of one (points × members) tile.
+
+        Returns ``(bins, p_axis, q_norm, order)``: the separation bin, axial
+        projection and squared in-plane distance of every pair, sorted by bin
+        (stable, so pairs stay point-major within a bin), and the flat
+        ``point * members.size + member`` position of each sorted pair.
+        """
+        geo_key = (
+            self._mesh_fp,
+            "pot",
+            array_fingerprint(tile_points),
+            key,
+            self._group_fp[key],
+            field_layer,
+        )
+        cached = self._geometry_cache.get(geo_key)
+        if cached is not None:
+            return cached
+        x = tile_points[:, 0, None]
+        y = tile_points[:, 1, None]
+        dx = x - self._mid_xy[None, members, 0]
+        dy = y - self._mid_xy[None, members, 1]
+        separation = np.sqrt(dx * dx + dy * dy)
+        separation -= self._half_lengths[members][None, :]
+        np.maximum(separation, 0.0, out=separation)
+        bins = plan.bin_of(separation)
+        np.subtract(x, self._p0[None, members, 0], out=dx)
+        np.subtract(y, self._p0[None, members, 1], out=dy)
+        p_axis = dx * self._u_xy[None, members, 0] + dy * self._u_xy[None, members, 1]
+        q_norm = dx * dx + dy * dy
+        order = np.argsort(bins, axis=None, kind="stable").astype(np.intp)
+        return self._geometry_cache.put(
+            geo_key,
+            (bins.ravel()[order], p_axis.ravel()[order], q_norm.ravel()[order], order),
+        )
+
+    def _potential_batch(self, points: np.ndarray) -> np.ndarray:
+        field_layers = self.soil.layer_indices(np.maximum(points[:, 2], 0.0))
         values = np.zeros(points.shape[0])
         nb = self.dof_manager.element_type.basis_per_element
 

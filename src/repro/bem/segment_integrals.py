@@ -254,14 +254,18 @@ def _exact_term_sums(
     ws: _Workspace,
     slot_base: int,
     dtype=np.float64,
+    gather: np.ndarray | None = None,
 ) -> None:
     """Accumulate exact weighted image sums into ``w0``/``w1`` (in place).
 
     ``I1`` uses the cancellation-free identity
     ``r1 − r0 = L (L − 2 s) / (r1 + r0)``, so the chain stays accurate in
-    single precision for far pairs (``r1 ≈ r0 ≫ L``).
+    single precision for far pairs (``r1 ≈ r0 ≫ L``).  With ``gather``,
+    ``signs``/``offsets`` hold only representative terms and row ``gather[l]``
+    of their integrals stands for term ``l`` of ``weights`` (see
+    :func:`_mirror_terms`).
     """
-    n_terms = weights.size
+    n_terms = signs.size
     n_pairs = p_axis.size
 
     delta = ws.array(slot_base + 0, n_terms, n_pairs, dtype)
@@ -324,6 +328,8 @@ def _exact_term_sums(
     t5 /= length
     i1 += t5
 
+    if gather is not None:
+        i0, i1 = _gather_rows(ws, slot_base, gather, i0, i1)
     w0 += weights.astype(dtype) @ i0
     w1 += weights.astype(dtype) @ i1
 
@@ -471,6 +477,7 @@ def _midpoint_term_sums(
     ws: _Workspace,
     slot_base: int,
     dtype=np.float64,
+    gather: np.ndarray | None = None,
 ) -> None:
     """Accumulate midpoint-tail weighted sums into ``w0``/``w1`` (in place).
 
@@ -482,8 +489,9 @@ def _midpoint_term_sums(
 
     Valid (relative error below ``(L/rc)⁴``) for ``rc ≳ 1.5 L``; the caller's
     :class:`~repro.kernels.truncation.TruncationPlan` guarantees that.
+    ``gather`` as in :func:`_exact_term_sums`.
     """
-    n_terms = weights.size
+    n_terms = signs.size
     n_pairs = p_axis.size
 
     delta = ws.array(slot_base + 0, n_terms, n_pairs, dtype)
@@ -545,8 +553,45 @@ def _midpoint_term_sums(
     np.multiply(i0, 0.5, out=sc)
     sc -= i1
 
+    if gather is not None:
+        i0, sc = _gather_rows(ws, slot_base, gather, i0, sc)
     w0 += weights.astype(dtype) @ i0
     w1 += weights.astype(dtype) @ sc
+
+
+def _gather_rows(
+    ws: _Workspace, slot_base: int, gather: np.ndarray, i0: np.ndarray, i1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand representative rows to one row per term (scratch slots 6, 7)."""
+    n_pairs = i0.shape[1]
+    full0 = ws.array(slot_base + 6, gather.size, n_pairs, i0.dtype)
+    full1 = ws.array(slot_base + 7, gather.size, n_pairs, i1.dtype)
+    np.take(i0, gather, axis=0, out=full0)
+    np.take(i1, gather, axis=0, out=full1)
+    return full0, full1
+
+
+def _mirror_terms(
+    signs: np.ndarray, offsets: np.ndarray, idx: np.ndarray, at_surface: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Representative terms of ``idx`` for field points at ``z = 0``.
+
+    At ``x_z = 0`` the image ``(sign, offset)`` and its mirror
+    ``(−sign, −offset)`` give ``Δz`` and ``u_z`` of opposite sign, so ``s``,
+    ``d`` and both integrals are bitwise equal (negation is exact).  Returns
+    ``(rep, gather)``: the term indices to evaluate and, per term of ``idx``,
+    its row among them — ``gather`` is ``None`` when no term has a mirror or
+    the field points are not all ``at_surface``.
+    """
+    if not at_surface or idx.size < 2:
+        return idx, None
+    sign = signs[idx]
+    flipped = np.where(sign < 0.0, -offsets[idx], offsets[idx])
+    canonical = np.column_stack((np.abs(sign), flipped))
+    _, first, gather = np.unique(canonical, axis=0, return_index=True, return_inverse=True)
+    if first.size == idx.size:
+        return idx, None
+    return idx[first], gather.ravel()
 
 
 #: Elements (terms x pairs) per evaluation chunk of
@@ -581,7 +626,10 @@ def adaptive_segment_sums(
     analytic integrals in double precision, ``exact32_idx`` the same chain in
     single precision, and ``midpoint_idx`` the single-precision second-order
     midpoint expansion (see :class:`~repro.kernels.truncation.TruncationPlan`
-    for the admissibility bounds of each mode).
+    for the admissibility bounds of each mode).  For an inclined source
+    with every field point at ``z = 0`` (rods under a surface raster), each
+    image and its mirror share one evaluation (:func:`_mirror_terms`); the
+    sums are unchanged bit for bit.
 
     Parameters
     ----------
@@ -620,6 +668,11 @@ def adaptive_segment_sums(
             z0_32 = np.asarray(z0, dtype=np.float32) if per_pair else float(z0)
             slope_32 = np.asarray(z_slope, dtype=np.float32) if per_pair else float(z_slope)
             length_32 = np.asarray(length, dtype=np.float32) if np.ndim(length) else float(length)
+
+    mirror = not flat and not np.any(x_z)
+    exact_rep, exact_gather = _mirror_terms(signs, offsets, exact_idx, mirror)
+    exact32_rep, exact32_gather = _mirror_terms(signs, offsets, exact32_idx, mirror)
+    midpoint_rep, midpoint_gather = _mirror_terms(signs, offsets, midpoint_idx, mirror)
 
     if flat:
         # Horizontal source: the axial projection is image-independent, so
@@ -678,8 +731,8 @@ def adaptive_segment_sums(
                 z_slope[sl] if np.ndim(z_slope) else z_slope,
                 length[sl] if np.ndim(length) else length,
                 d_min[sl] if np.ndim(d_min) else d_min,
-                weights[exact_idx], signs[exact_idx], offsets[exact_idx],
-                w0[sl], w1[sl], ws, slot_base=0, dtype=np.float64,
+                weights[exact_idx], signs[exact_rep], offsets[exact_rep],
+                w0[sl], w1[sl], ws, slot_base=0, dtype=np.float64, gather=exact_gather,
             )
         if exact32_idx.size:
             _exact_term_sums(
@@ -688,8 +741,8 @@ def adaptive_segment_sums(
                 slope_32[sl] if np.ndim(slope_32) else slope_32,
                 length_32[sl] if np.ndim(length_32) else length_32,
                 d_min[sl].astype(np.float32) if np.ndim(d_min) else float(d_min),
-                weights[exact32_idx], signs[exact32_idx], offsets[exact32_idx],
-                w0[sl], w1[sl], ws, slot_base=8, dtype=np.float32,
+                weights[exact32_idx], signs[exact32_rep], offsets[exact32_rep],
+                w0[sl], w1[sl], ws, slot_base=8, dtype=np.float32, gather=exact32_gather,
             )
         if midpoint_idx.size:
             _midpoint_term_sums(
@@ -697,8 +750,8 @@ def adaptive_segment_sums(
                 z0_32[sl] if np.ndim(z0_32) else z0_32,
                 slope_32[sl] if np.ndim(slope_32) else slope_32,
                 length_32[sl] if np.ndim(length_32) else length_32,
-                weights[midpoint_idx], signs[midpoint_idx], offsets[midpoint_idx],
-                w0[sl], w1[sl], ws, slot_base=16, dtype=np.float32,
+                weights[midpoint_idx], signs[midpoint_rep], offsets[midpoint_rep],
+                w0[sl], w1[sl], ws, slot_base=16, dtype=np.float32, gather=midpoint_gather,
             )
     return w0, w1
 

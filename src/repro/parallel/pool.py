@@ -288,7 +288,8 @@ class WorkerPool:
         Optional :class:`~repro.observe.Tracer`.  An enabled tracer receives
         one *event* per dispatch/result/retry/respawn/timeout/fallback with
         volatile ``slot``/``job``/``t`` coordinates (scheduling facts, never
-        part of the deterministic span projection), and the pool's counters
+        part of the deterministic span projection; ``t`` counts seconds since
+        the pool was created, one clock for all its runs), and the pool's counters
         are kept in the tracer's shared :class:`~repro.observe.MetricsRegistry`
         under ``pool.*`` names.  Defaults to the no-op tracer.
     """
@@ -336,7 +337,9 @@ class WorkerPool:
         self.metrics: MetricsRegistry = (
             self.tracer.metrics if self.tracer.enabled else MetricsRegistry()
         )
-        self._run_start = 0.0
+        # One clock origin for the pool's lifetime: event times of sequential
+        # and concurrent runs share a single timeline.
+        self._clock_origin = wall_clock()
         for key in ("runs", "chunks_dispatched", "tasks_executed", "contexts_shipped"):
             self.metrics.counter(f"pool.{key}")  # pre-create: stats keys exist at zero
         if self.backend == "process":
@@ -360,9 +363,9 @@ class WorkerPool:
         return {**counters, **self.health.counters()}
 
     def _trace_event(self, name: str, /, **data: Any) -> None:
-        """Emit one scheduling event (volatile coordinates + relative time)."""
+        """Emit one scheduling event (volatile coordinates + pool-lifetime time)."""
         if self.tracer.enabled:
-            data["t"] = round(wall_clock() - self._run_start, 6)
+            data["t"] = round(wall_clock() - self._clock_origin, 6)
             self.tracer.event(name, **data)
 
     # ------------------------------------------------------------------ lifecycle
@@ -562,7 +565,6 @@ class WorkerPool:
         self._context_seq += 1
         run = _PoolRun(self._context_seq, task, batch_fn, cost_hint, label, chunks, indices)
         run.started = wall_clock()
-        self._run_start = run.started
         for chunk in chunks:
             job_id = self._job_counter
             self._job_counter += 1

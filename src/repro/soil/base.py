@@ -67,6 +67,18 @@ class SoilModel(abc.ABC):
                 return index
         return self.n_layers
 
+    def layer_indices(self, depths: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`layer_index` over an array of non-negative depths.
+
+        Follows the same convention: a depth exactly on an interface belongs
+        to the layer above it.
+        """
+        depths = np.asarray(depths, dtype=float)
+        if np.any(depths < 0.0):
+            raise SoilModelError("depths above the earth surface have no layer")
+        interfaces = np.asarray(self.interface_depths(), dtype=float)
+        return np.searchsorted(interfaces, depths, side="left") + 1
+
     def conductivity_at(self, depth: float) -> float:
         """Conductivity of the layer containing ``depth`` [(Ω·m)⁻¹]."""
         return self.conductivities[self.layer_index(depth) - 1]

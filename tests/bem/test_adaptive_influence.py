@@ -182,6 +182,17 @@ class TestGeometryCache:
         assert cache.get(("big",)) is None
         assert cache.n_entries == 0
 
+    def test_oversized_entry_is_not_copied(self):
+        """An entry that will not be stored is served as views of its inputs."""
+        cache = GeometryCache(max_bytes=64)
+        inputs = (np.zeros(1024), np.arange(512))
+        served = cache.put(("big",), inputs)
+        assert cache.n_entries == 0 and cache.nbytes == 0
+        for original, view in zip(inputs, served):
+            assert np.shares_memory(original, view)
+            assert not view.flags.writeable
+            assert original.flags.writeable  # the caller's array stays writable
+
     def test_clear(self):
         cache = GeometryCache()
         cache.put(("x",), (np.zeros(4),))

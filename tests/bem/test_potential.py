@@ -244,3 +244,58 @@ class TestAdaptivePotentialPath:
                 small_results.dof_values,
                 adaptive="Default",
             )
+
+
+class TestTiledRaster:
+    """The adaptive raster works in tiles of a fixed pair budget."""
+
+    #: Upper bound on the traced bytes the evaluation holds per tile pair.
+    BYTES_PER_PAIR = 256
+
+    def test_peak_memory_is_bounded_by_the_pair_budget(self, two_layer_soil, monkeypatch):
+        import tracemalloc
+
+        from repro.bem import potential
+        from repro.bem.elements import DofManager, ElementType
+        from repro.bem.geometry_cache import GeometryCache
+        from repro.bem.potential import PotentialEvaluator
+        from repro.geometry.builder import GridBuilder
+        from repro.geometry.discretize import discretize_grid
+        from repro.kernels.base import kernel_for_soil
+
+        grid = GridBuilder(depth=0.8, conductor_radius=6.0e-3).rectangular_mesh(
+            160.0, 160.0, 32, 32
+        )
+        mesh = discretize_grid(grid, soil=two_layer_soil)
+        assert mesh.n_elements >= 2000
+        dofs = DofManager(mesh, ElementType.LINEAR)
+        densities = np.random.default_rng(2).uniform(0.5, 1.5, dofs.n_dofs)
+        evaluator = PotentialEvaluator(
+            mesh,
+            two_layer_soil,
+            kernel_for_soil(two_layer_soil),
+            dofs,
+            densities,
+            geometry_cache=GeometryCache(max_bytes=0),  # nothing retained between tiles
+        )
+        n_side = 21
+        bound = potential._TILE_PAIRS * self.BYTES_PER_PAIR
+        # One untiled slab of this raster would need several times the bound.
+        assert n_side**2 * mesh.n_elements * self.BYTES_PER_PAIR > 3 * bound
+
+        tracemalloc.start()
+        try:
+            tiled = evaluator.surface_potential_over_grid(n_x=n_side, n_y=n_side)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+        # Tiling changes only the BLAS round-off of the weighted image sums.
+        monkeypatch.setattr(potential, "_TILE_PAIRS", 1 << 62)
+        one_slab = evaluator.surface_potential_over_grid(n_x=n_side, n_y=n_side)
+        np.testing.assert_allclose(tiled.values, one_slab.values, rtol=1e-12, atol=0.0)
+        # One point per batch leaves spans of a few pairs, whose single-precision
+        # sums BLAS rounds differently (1.2e-12 here, the same before tiling).
+        one_point = evaluator.surface_potential_over_grid(n_x=n_side, n_y=n_side, batch_size=1)
+        np.testing.assert_allclose(tiled.values, one_point.values, rtol=1e-11, atol=0.0)

@@ -144,3 +144,65 @@ class TestValidation:
         i0_rev, i1_rev = line_integrals(field, q1, q0)
         assert i0_rev == pytest.approx(i0, rel=1e-12)
         assert i1_rev == pytest.approx(i0 - i1, rel=1e-10)
+
+
+class TestMirrorImagesAtSurface:
+    """Field points at z = 0: an image and its mirror share one evaluation."""
+
+    @staticmethod
+    def _terms():
+        # (sign, offset) images of a two-layer series: mirror pairs
+        # (s, o) <-> (-s, -o) plus a few unpaired terms.
+        offsets = np.array([0.0, 0.0, 2.0, -2.0, 4.0, -4.0, 6.0, 2.0, -6.0, 8.0, -8.0, 10.0])
+        signs = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0])
+        weights = np.random.default_rng(3).uniform(-0.7, 1.0, signs.size)
+        return weights, signs, offsets
+
+    @pytest.mark.parametrize("per_pair", [False, True], ids=["shared-source", "per-pair-source"])
+    def test_sums_are_byte_identical_to_per_term_evaluation(self, per_pair, monkeypatch):
+        from repro.bem import segment_integrals
+
+        rng = np.random.default_rng(17)
+        n_pairs = 3001
+        p_axis = rng.uniform(-3.0, 3.0, n_pairs)
+        q_norm = p_axis**2 + rng.uniform(0.0, 400.0, n_pairs)
+        x_z = np.zeros(n_pairs)
+        z0, slope, length = 0.8, 0.6, 2.5  # inclined (non-horizontal) source
+        if per_pair:
+            z0 = rng.uniform(0.5, 1.0, n_pairs)
+            slope = rng.choice([1.0, 0.6], n_pairs)
+            length = rng.uniform(1.0, 3.0, n_pairs)
+        weights, signs, offsets = self._terms()
+        exact_idx = np.array([0, 1, 2, 3, 11])
+        exact32_idx = np.array([4, 5, 7])
+        midpoint_idx = np.array([6, 8, 9, 10])
+        for idx in (exact_idx, exact32_idx, midpoint_idx):
+            assert segment_integrals._mirror_terms(signs, offsets, idx, True)[1] is not None
+
+        def run():
+            return segment_integrals.adaptive_segment_sums(
+                p_axis, q_norm, x_z, z0, slope, length, 7.0e-3,
+                weights, signs, offsets, exact_idx, exact32_idx, midpoint_idx,
+            )
+
+        shared = run()
+        monkeypatch.setattr(
+            segment_integrals, "_mirror_terms", lambda signs, offsets, idx, at_surface: (idx, None)
+        )
+        per_term = run()
+        for fast, reference in zip(shared, per_term):
+            assert fast.tobytes() == reference.tobytes()
+
+    def test_representatives_and_gather(self):
+        from repro.bem.segment_integrals import _mirror_terms
+
+        _, signs, offsets = self._terms()
+        rep, gather = _mirror_terms(signs, offsets, np.array([0, 1, 6, 7, 8]), True)
+        assert sorted(rep.tolist()) == [0, 6, 7]
+        # Every term maps to a representative with the same or mirrored image.
+        for term, row in zip([0, 1, 6, 7, 8], gather):
+            image = (signs[term], offsets[term])
+            chosen = (signs[rep[row]], offsets[rep[row]])
+            assert chosen in (image, (-image[0], -image[1]))
+        rep, gather = _mirror_terms(signs, offsets, np.array([2, 4, 9]), True)
+        assert gather is None and rep.tolist() == [2, 4, 9]

@@ -9,6 +9,7 @@ dispatch/result events where the busy/idle arithmetic is exact.
 
 from __future__ import annotations
 
+import time
 import tracemalloc
 
 import pytest
@@ -19,6 +20,14 @@ from repro.observe import (
     canonical_trace_text,
     pool_utilization,
 )
+
+
+class _NapTask:
+    """Picklable pool task that holds its worker briefly."""
+
+    def __call__(self, index: int) -> int:
+        time.sleep(0.05)
+        return index
 
 
 def _profiled_trace():
@@ -190,3 +199,46 @@ class TestPoolUtilization:
     def test_single_span_argument_is_accepted(self):
         roots = self._trace()
         assert pool_utilization(roots[0]) == pool_utilization(roots)
+
+
+class TestPoolEventClock:
+    """A real pool stamps every run's events on one clock."""
+
+    @staticmethod
+    def _check(roots):
+        times = [
+            node.volatile["t"]
+            for root in roots
+            for node in root.walk()
+            if node.kind == "event" and node.name in ("pool.dispatch", "pool.result")
+        ]
+        assert len(times) == 8 and times == sorted(times)
+        util = pool_utilization(roots)
+        assert util["chunks"] == 4
+        assert 0.0 <= util["saturation"] <= 1.0
+        for slot in util["slots"].values():
+            # Every chunk naps 0.05 s between its dispatch and its result.
+            assert slot["busy_seconds"] >= 0.05 * slot["chunks"]
+
+    def test_sequential_runs(self):
+        from repro.parallel.pool import WorkerPool
+
+        tracer = Tracer()
+        with WorkerPool(2, tracer=tracer) as pool, tracer.span("runs"):
+            for _ in range(2):
+                pool.run_partition(_NapTask(), [[0], [1]])
+        self._check(tracer.finalize())
+
+    def test_concurrent_runs(self):
+        from repro.parallel.pool import WorkerPool
+
+        tracer = Tracer()
+        with WorkerPool(2, tracer=tracer) as pool, tracer.span("runs"):
+            first = pool.submit(_NapTask(), [[0], [1]])
+            time.sleep(0.02)  # the second run starts while the first is in flight
+            second = pool.submit(_NapTask(), [[0], [1]])
+            while not (first.done and second.done):
+                pool.service()
+            results = [pool.result(run) for run in (first, second)]
+        assert all(sorted(result.results) == [0, 1] for result in results)
+        self._check(tracer.finalize())

@@ -181,3 +181,29 @@ class TestMultiLayerSoil:
         soil = MultiLayerSoil([0.01, 0.005, 0.02], [1.0, 2.0])
         text = soil.describe()
         assert text.count("layer") == 3
+
+
+class TestLayerIndices:
+    """The vectorised lookup agrees with the scalar ``layer_index``."""
+
+    @pytest.mark.parametrize(
+        "soil",
+        [
+            UniformSoil(0.01),
+            TwoLayerSoil(0.005, 0.016, 1.0),
+            MultiLayerSoil([0.01, 0.005, 0.02], [1.0, 2.0]),
+        ],
+        ids=["uniform", "two-layer", "three-layer"],
+    )
+    def test_matches_scalar_lookup(self, soil):
+        rng = np.random.default_rng(5)
+        interfaces = list(soil.interface_depths())
+        depths = np.concatenate(
+            (rng.uniform(0.0, 6.0, 200), [0.0], interfaces, np.nextafter(interfaces, 10.0))
+        )
+        expected = [soil.layer_index(depth) for depth in depths]
+        assert soil.layer_indices(depths).tolist() == expected
+
+    def test_rejects_negative_depth(self):
+        with pytest.raises(SoilModelError):
+            TwoLayerSoil(0.005, 0.016, 1.0).layer_indices(np.array([0.5, -0.1]))
